@@ -1,26 +1,22 @@
 """``repro.exec`` — pluggable execution backends.
 
-The distributed-ready seam between "what to run" and "how to run it":
-:class:`ExecutorBackend` (map/submit with per-task deadlines, cancel,
-and a telemetry fold-back contract) with four implementations —
-``inline``, ``fork`` (the extracted sharded pool), ``spawn``
-(content-addressed pickled state, persistent workers), and
+The seam between "what to run" and "how to run it":
+:class:`ExecutorBackend` (a supervised ``map`` with per-task
+deadlines, retries and a telemetry fold-back contract) with four
+implementations — ``inline``, ``fork`` (one forked child per attempt),
+``spawn`` (content-addressed pickled state, persistent workers), and
 ``thread-lane`` (store-hit-heavy / I/O-bound service work).  See
 :mod:`repro.exec.backends` for the full contract.
 """
 
 from .backends import (
     BACKENDS,
-    ExecCancelledError,
-    ExecTaskError,
     ExecutorBackend,
     ForkBackend,
     InlineBackend,
     SpawnBackend,
-    TaskHandle,
     ThreadLaneBackend,
     auto_backend,
-    backend_name,
     create_backend,
 )
 
@@ -31,10 +27,6 @@ __all__ = [
     "ForkBackend",
     "SpawnBackend",
     "ThreadLaneBackend",
-    "TaskHandle",
-    "ExecTaskError",
-    "ExecCancelledError",
     "create_backend",
     "auto_backend",
-    "backend_name",
 ]

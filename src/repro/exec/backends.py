@@ -1,25 +1,22 @@
 """Pluggable execution backends: inline, fork, spawn, thread-lane.
 
 One interface, :class:`ExecutorBackend`, behind every way this repo
-runs units of work in parallel — so the sharded fault simulator, the
-campaign runner, and the service's execution lanes stop hard-coding a
-fork pool and a platform without ``fork`` stops silently degrading to
-in-process execution.
+runs units of work in parallel — the sharded fault simulator, the
+campaign runner and the service's execution lanes all go through it,
+and a platform without ``fork`` gets a spawn pool instead of silently
+degrading to in-process execution.
 
 The contract every backend implements:
 
 * ``map(task_fn, payload, tasks, workers=, policy=)`` — run
   ``task_fn(payload, task, attempt)`` for every task, at most
   ``workers`` at a time, retrying failed attempts per
-  ``policy.retry`` with the supervisor's jittered backoff and
-  enforcing ``policy.timeout_s`` as a per-attempt deadline where the
-  backend can (see the matrix below).  Returns a
-  :class:`~repro.resilience.SupervisionOutcome` — the same shape
-  :func:`repro.resilience.supervise` produces — so callers keep one
+  ``policy.retry`` with jittered backoff and enforcing
+  ``policy.timeout_s`` as a per-attempt deadline where the backend can
+  (see the matrix below).  Every backend settles a failed attempt
+  through the one retry rule, :func:`_settle_failure`, and returns a
+  :class:`~repro.resilience.SupervisionOutcome`, so callers keep one
   failure-handling path regardless of backend.
-* ``submit(task_fn, payload, task, policy=)`` — the same execution as
-  a one-task ``map``, started in the background; returns a
-  :class:`TaskHandle` with ``result(timeout)`` / ``cancel()``.
 * **State shipping** — ``payload`` is how per-run state (circuit,
   patterns, fault shards) reaches the workers.  ``inline`` and
   ``thread-lane`` pass it by reference; ``fork`` ships it by fork
@@ -54,22 +51,26 @@ thread-lane   no         abandon      yes                 store-hit / I/O-bound
 
 ``isolated`` backends run tasks in a child process, so a crashing or
 hanging task cannot take the caller down (and the chaos harness may
-inject real ``os._exit`` crashes there).  ``thread-lane`` cannot kill
-a running thread: a task past its deadline is *abandoned* (it may
-still run to completion into the void) and retried per policy — fine
-for the I/O-bound service work it exists for, wrong for tasks with
-side effects that must not run twice.
+inject real ``os._exit`` crashes there).  ``fork`` runs one fresh
+forked child per attempt; ``spawn`` keeps persistent workers.  Both
+watch their children's result pipes the same way (:func:`_watch`: a
+message is a result, EOF a crash, a passed deadline a hang).
+``thread-lane`` cannot kill a running thread: a task past its deadline
+is *abandoned* (it may still run to completion into the void) and
+retried per policy — fine for the I/O-bound service work it exists
+for, wrong for tasks with side effects that must not run twice.
 """
 
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
+import os
 import pickle
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor
 from concurrent.futures import wait as _futures_wait
-import multiprocessing
 from multiprocessing import connection
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -83,7 +84,6 @@ from ..resilience.supervisor import (
     SupervisionOutcome,
     SupervisionPolicy,
     TaskFailure,
-    supervise,
 )
 
 __all__ = [
@@ -93,12 +93,8 @@ __all__ = [
     "ForkBackend",
     "SpawnBackend",
     "ThreadLaneBackend",
-    "TaskHandle",
-    "ExecTaskError",
-    "ExecCancelledError",
     "create_backend",
     "auto_backend",
-    "backend_name",
 ]
 
 #: Canonical backend names, in auto-selection preference order for
@@ -108,20 +104,18 @@ BACKENDS = ("fork", "spawn", "inline", "thread-lane")
 #: ``task_fn(payload, task, attempt) -> result``
 TaskFn = Callable[[Any, Any, int], Any]
 
+#: How often a supervising loop wakes to check deadlines.
+_POLL_INTERVAL_S = 0.05
 
-class ExecTaskError(Exception):
-    """A submitted task exhausted its retries; carries the failure."""
-
-    def __init__(self, failure: TaskFailure) -> None:
-        super().__init__(
-            f"task {failure.task!r} failed after {failure.attempts} "
-            f"attempt(s): {failure.error}: {failure.message}"
-        )
-        self.failure = failure
+#: Grace a terminated (hung) worker gets before SIGKILL, and for joins.
+_TERM_GRACE_S = 5.0
 
 
-class ExecCancelledError(Exception):
-    """A submitted task was cancelled before it started."""
+def _deadline(policy: SupervisionPolicy) -> Optional[float]:
+    """Monotonic deadline of an attempt starting now (None: no limit)."""
+    if policy.timeout_s is None:
+        return None
+    return time.monotonic() + policy.timeout_s
 
 
 def _settle_failure(
@@ -137,9 +131,9 @@ def _settle_failure(
 ) -> None:
     """One failed attempt: count it, then retry or fail the task.
 
-    Mirrors the fork supervisor's ``settle`` exactly — same telemetry
-    counters, same event rows, same :class:`TaskFailure` shape — so
-    every backend's failures look identical to callers.
+    The single retry rule of every backend — same telemetry counters,
+    same event rows, same :class:`TaskFailure` shape — so every
+    backend's failures look identical to callers.
     """
     telemetry.incr(f"resilience.worker_{kind}")
     retry = policy.retry
@@ -163,56 +157,76 @@ def _settle_failure(
         )
 
 
-class TaskHandle:
-    """One background task started by :meth:`ExecutorBackend.submit`."""
+def _run_attempt(task_fn: TaskFn, payload: Any, task: Any,
+                 attempt: int) -> tuple:
+    """Run one attempt in a worker; the message it sends back."""
+    try:
+        return (OK, task_fn(payload, task, attempt))
+    except BaseException as exc:  # noqa: BLE001 — everything must travel back
+        return (EXCEPTION, type(exc).__name__, str(exc), traceback_digest(exc))
 
-    def __init__(self, task: Any) -> None:
-        self.task = task
-        self._finished = threading.Event()
-        self._cancel = threading.Event()
-        self._state: Tuple[str, Any] = ("pending", None)
 
-    def cancel(self) -> bool:
-        """Request cancellation; True if the task had not finished.
+def _stop(process: Any, kill: bool) -> None:
+    """Join a worker process; terminate (then kill) it first if ``kill``."""
+    if kill and process.is_alive():
+        process.terminate()
+        process.join(_TERM_GRACE_S)
+        if process.is_alive():
+            process.kill()
+    process.join(_TERM_GRACE_S)
 
-        Guaranteed to take effect only before the task starts; a task
-        already running on an isolated backend finishes in its worker
-        and the result is discarded.
-        """
-        if self._finished.is_set():
-            return False
-        self._cancel.set()
-        return True
 
-    def done(self) -> bool:
-        """Has the task finished (ok, failed, or cancelled)?"""
-        return self._finished.is_set()
+def _watch(
+    busy: Dict[Any, Any],
+    outcome: SupervisionOutcome,
+    policy: SupervisionPolicy,
+    pending: List[Tuple[Any, int]],
+    release: Callable[[Any, str], None],
+) -> None:
+    """One supervision step over the result pipes of running attempts.
 
-    def cancelled(self) -> bool:
-        """Did the task end by cancellation?"""
-        return self._finished.is_set() and self._state[0] == "cancelled"
-
-    def result(self, timeout: Optional[float] = None) -> Any:
-        """Block for the result; raise what the task ended with.
-
-        :class:`ExecTaskError` for a task that exhausted retries,
-        :class:`ExecCancelledError` for a cancelled one,
-        :class:`TimeoutError` if it is still running after ``timeout``.
-        """
-        if not self._finished.wait(timeout):
-            raise TimeoutError(
-                f"task {self.task!r} still running after {timeout}s"
+    ``busy`` maps each pipe to its attempt (``process``, ``task``,
+    ``attempt``, ``deadline``).  A ready pipe carries the worker's
+    :func:`_run_attempt` message; EOF on it is a crash; a passed
+    deadline is a hang.  A finished attempt leaves ``busy``, goes to
+    ``release(entry, kind)`` — the backend disposes of its worker, so a
+    crashed one has its exit code — and then settles into ``outcome``.
+    """
+    ready = connection.wait(list(busy), timeout=_POLL_INTERVAL_S)
+    now = time.monotonic()
+    for conn, entry in list(busy.items()):
+        if conn in ready:
+            try:
+                message = conn.recv()
+            except (EOFError, OSError):
+                message = (CRASH,)
+        elif entry.deadline is not None and now >= entry.deadline:
+            message = (HANG,)
+        else:
+            continue
+        del busy[conn]
+        kind = message[0]
+        release(entry, kind)
+        if kind == OK:
+            outcome.results[entry.task] = message[1]
+        elif kind == EXCEPTION:
+            _settle_failure(
+                outcome, policy, pending, entry.task, entry.attempt, *message
             )
-        state, value = self._state
-        if state == "ok":
-            return value
-        if state == "cancelled":
-            raise ExecCancelledError(f"task {self.task!r} was cancelled")
-        raise ExecTaskError(value)
-
-    def _finish(self, state: str, value: Any) -> None:
-        self._state = (state, value)
-        self._finished.set()
+        elif kind == CRASH:
+            _settle_failure(
+                outcome, policy, pending, entry.task, entry.attempt, CRASH,
+                "WorkerCrash",
+                f"worker exited with code {entry.process.exitcode} before "
+                f"returning a result", "",
+            )
+        else:
+            _settle_failure(
+                outcome, policy, pending, entry.task, entry.attempt, HANG,
+                "WorkerHang",
+                f"no result within {policy.timeout_s}s (worker terminated)",
+                "",
+            )
 
 
 class ExecutorBackend:
@@ -244,47 +258,6 @@ class ExecutorBackend:
     ) -> SupervisionOutcome:
         """Run every task, supervised; see the module contract."""
         raise NotImplementedError
-
-    def submit(
-        self,
-        task_fn: TaskFn,
-        payload: Any,
-        task: Any,
-        *,
-        policy: Optional[SupervisionPolicy] = None,
-    ) -> TaskHandle:
-        """Start one task in the background; returns its handle."""
-        handle = TaskHandle(task)
-
-        def run() -> None:
-            if handle._cancel.is_set():
-                handle._finish("cancelled", None)
-                return
-            try:
-                outcome = self.map(
-                    task_fn, payload, [task], workers=1, policy=policy
-                )
-            except Exception as exc:  # defensive: map never raises today
-                handle._finish(
-                    "failed",
-                    TaskFailure(
-                        task=task, kind=EXCEPTION, error=type(exc).__name__,
-                        message=str(exc), digest=traceback_digest(exc),
-                        attempts=1,
-                    ),
-                )
-                return
-            if task in outcome.results:
-                handle._finish("ok", outcome.results[task])
-            else:
-                handle._finish("failed", outcome.failed[task])
-
-        thread = threading.Thread(
-            target=run, daemon=True,
-            name=f"repro-exec-{self.name}-submit",
-        )
-        thread.start()
-        return handle
 
     def close(self) -> None:
         """Release any persistent workers (idempotent)."""
@@ -334,13 +307,46 @@ class InlineBackend(ExecutorBackend):
         return outcome
 
 
-class ForkBackend(ExecutorBackend):
-    """The extracted fork pool: one forked child per task attempt.
+def _fork_child_main(conn: Any, task_fn: TaskFn, payload: Any, task: Any,
+                     attempt: int) -> None:
+    """Forked-child entry: run one attempt, ship the outcome, exit hard.
 
-    Delegates to :func:`repro.resilience.supervise` — state reaches
-    children by fork inheritance (never pickled), crashes and hangs
-    are detected on the result pipe, hung children are killed.  POSIX
-    only.
+    ``os._exit`` (not ``sys.exit``) keeps the forked child from
+    flushing inherited stdio buffers or running the parent's atexit
+    hooks twice.
+    """
+    telemetry.reset_in_child()
+    try:
+        conn.send(_run_attempt(task_fn, payload, task, attempt))
+        conn.close()
+    finally:
+        os._exit(0)
+
+
+class _Worker:
+    """One worker process, its pipe, and the attempt it is running.
+
+    ``keys`` are the state keys a persistent spawn worker holds.
+    """
+
+    __slots__ = ("process", "conn", "keys", "task", "attempt", "deadline")
+
+    def __init__(self, process: Any, conn: Any) -> None:
+        self.process = process
+        self.conn = conn
+        self.keys: set = set()
+        self.task: Any = None
+        self.attempt = 0
+        self.deadline: Optional[float] = None
+
+
+class ForkBackend(ExecutorBackend):
+    """One forked child per task attempt.
+
+    State reaches children by fork inheritance — ``task_fn`` and
+    ``payload`` are never pickled, only the result is; crashes and
+    hangs are detected on the result pipe, hung children are killed.
+    POSIX only.
     """
 
     name = "fork"
@@ -360,12 +366,37 @@ class ForkBackend(ExecutorBackend):
         workers: int = 1,
         policy: Optional[SupervisionPolicy] = None,
     ) -> SupervisionOutcome:
-        def fork_task(task: Any, attempt: int) -> Any:
-            # Runs in the forked child; payload via fork inheritance.
-            return task_fn(payload, task, attempt)
+        policy = policy or SupervisionPolicy()
+        outcome = SupervisionOutcome(results={}, failed={})
+        context = multiprocessing.get_context("fork")
+        pending: List[Tuple[Any, int]] = [(task, 0) for task in tasks]
+        busy: Dict[Any, _Worker] = {}
 
-        return supervise(list(tasks), fork_task, workers=workers,
-                         policy=policy)
+        def release(entry: _Worker, kind: str) -> None:
+            _stop(entry.process, kill=kind == HANG)
+            entry.conn.close()
+
+        try:
+            while pending or busy:
+                while pending and len(busy) < max(1, workers):
+                    task, attempt = pending.pop(0)
+                    parent_conn, child_conn = context.Pipe(duplex=False)
+                    process = context.Process(
+                        target=_fork_child_main,
+                        args=(child_conn, task_fn, payload, task, attempt),
+                        daemon=True,
+                    )
+                    process.start()
+                    child_conn.close()
+                    entry = busy[parent_conn] = _Worker(process, parent_conn)
+                    entry.task, entry.attempt = task, attempt
+                    entry.deadline = _deadline(policy)
+                _watch(busy, outcome, policy, pending, release)
+        finally:
+            # Never leak children, e.g. when the caller is interrupted.
+            for entry in busy.values():
+                release(entry, HANG)
+        return outcome
 
 
 def _spawn_worker_main(conn: Any) -> None:
@@ -376,8 +407,6 @@ def _spawn_worker_main(conn: Any) -> None:
     ``(EXCEPTION, error, message, digest)`` per task.  EOF on the pipe
     (parent died or gave up on us) ends the loop.
     """
-    import os
-
     telemetry.reset_in_child()
     cache: Dict[str, Any] = {}
     try:
@@ -399,15 +428,7 @@ def _spawn_worker_main(conn: Any) -> None:
                     ))
                     continue
                 fn, payload = entry
-                try:
-                    result = fn(payload, task, attempt)
-                except BaseException as exc:  # noqa: BLE001 — must travel back
-                    conn.send((
-                        EXCEPTION, type(exc).__name__, str(exc),
-                        traceback_digest(exc),
-                    ))
-                else:
-                    conn.send((OK, result))
+                conn.send(_run_attempt(fn, payload, task, attempt))
             elif op == "stop":
                 break
     finally:
@@ -416,20 +437,6 @@ def _spawn_worker_main(conn: Any) -> None:
         except OSError:
             pass
         os._exit(0)
-
-
-class _SpawnWorker:
-    """One persistent spawn child: process, duplex pipe, shipped keys."""
-
-    __slots__ = ("process", "conn", "keys", "task", "attempt", "deadline")
-
-    def __init__(self, process: Any, conn: Any) -> None:
-        self.process = process
-        self.conn = conn
-        self.keys: set = set()
-        self.task: Any = None
-        self.attempt = 0
-        self.deadline: Optional[float] = None
 
 
 class SpawnBackend(ExecutorBackend):
@@ -442,7 +449,7 @@ class SpawnBackend(ExecutorBackend):
     the same backend instance, so repeated runs over the same state
     (a simulator's verify/grade/sign-off passes, a service executing
     many cells of one campaign) ship it once.  Supervision matches the
-    fork pool: EOF on a worker's pipe is a crash, a missed deadline
+    fork backend: EOF on a worker's pipe is a crash, a missed deadline
     kills and replaces the worker, both retry per policy.
     """
 
@@ -450,11 +457,8 @@ class SpawnBackend(ExecutorBackend):
     isolated = True
     replays_counters = True
 
-    #: Grace given to a terminated worker before SIGKILL, and to joins.
-    term_grace_s = 5.0
-
     def __init__(self) -> None:
-        self._workers: List[_SpawnWorker] = []
+        self._workers: List[_Worker] = []
         self._lock = threading.Lock()
 
     @classmethod
@@ -462,7 +466,7 @@ class SpawnBackend(ExecutorBackend):
         return "spawn" in multiprocessing.get_all_start_methods()
 
     # -- worker lifecycle ----------------------------------------------
-    def _spawn_one(self) -> _SpawnWorker:
+    def _spawn_one(self) -> _Worker:
         context = multiprocessing.get_context("spawn")
         parent_conn, child_conn = context.Pipe(duplex=True)
         process = context.Process(
@@ -470,24 +474,23 @@ class SpawnBackend(ExecutorBackend):
         )
         process.start()
         child_conn.close()
-        worker = _SpawnWorker(process, parent_conn)
+        worker = _Worker(process, parent_conn)
         self._workers.append(worker)
         return worker
 
-    def _discard(self, worker: _SpawnWorker, kill: bool) -> None:
+    def _discard(self, worker: _Worker, kill: bool) -> None:
         if worker in self._workers:
             self._workers.remove(worker)
         try:
             worker.conn.close()
         except OSError:
             pass
-        process = worker.process
-        if kill and process.is_alive():
-            process.terminate()
-            process.join(self.term_grace_s)
-            if process.is_alive():
-                process.kill()
-        process.join(self.term_grace_s)
+        _stop(worker.process, kill)
+
+    def _release(self, worker: _Worker, kind: str) -> None:
+        """A finished attempt's worker: kept unless it crashed or hung."""
+        if kind in (CRASH, HANG):
+            self._discard(worker, kill=kind == HANG)
 
     def close(self) -> None:
         with self._lock:
@@ -534,7 +537,7 @@ class SpawnBackend(ExecutorBackend):
         )
         state_key = hashlib.sha256(blob).hexdigest()
         pending: List[Tuple[Any, int]] = [(task, 0) for task in tasks]
-        busy: Dict[Any, _SpawnWorker] = {}
+        busy: Dict[Any, _Worker] = {}
         while pending or busy:
             target = min(cap, len(pending) + len(busy))
             while len(self._workers) < target:
@@ -554,54 +557,10 @@ class SpawnBackend(ExecutorBackend):
                     pending.insert(0, (task, attempt))
                     break
                 worker.task, worker.attempt = task, attempt
-                worker.deadline = (
-                    time.monotonic() + policy.timeout_s
-                    if policy.timeout_s is not None
-                    else None
-                )
+                worker.deadline = _deadline(policy)
                 busy[worker.conn] = worker
-            if not busy:
-                continue
-            ready = connection.wait(
-                list(busy), timeout=policy.poll_interval_s
-            )
-            now = time.monotonic()
-            for conn in list(busy):
-                worker = busy.get(conn)
-                if worker is None:
-                    continue
-                if conn in ready:
-                    del busy[conn]
-                    try:
-                        message = conn.recv()
-                    except (EOFError, OSError):
-                        code = worker.process.exitcode
-                        self._discard(worker, kill=False)
-                        _settle_failure(
-                            outcome, policy, pending, worker.task,
-                            worker.attempt, CRASH, "WorkerCrash",
-                            f"spawn worker exited with code {code} before "
-                            f"returning a result", "",
-                        )
-                        continue
-                    if message[0] == OK:
-                        outcome.results[worker.task] = message[1]
-                    else:
-                        _, error, text, digest = message
-                        _settle_failure(
-                            outcome, policy, pending, worker.task,
-                            worker.attempt, EXCEPTION, error, text, digest,
-                        )
-                    worker.task, worker.deadline = None, None
-                elif worker.deadline is not None and now >= worker.deadline:
-                    del busy[conn]
-                    self._discard(worker, kill=True)
-                    _settle_failure(
-                        outcome, policy, pending, worker.task,
-                        worker.attempt, HANG, "WorkerHang",
-                        f"no result within {policy.timeout_s}s "
-                        f"(worker terminated)", "",
-                    )
+            if busy:
+                _watch(busy, outcome, policy, pending, self._release)
 
 
 class ThreadLaneBackend(ExecutorBackend):
@@ -646,14 +605,9 @@ class ThreadLaneBackend(ExecutorBackend):
                 while pending and len(running) < cap:
                     task, attempt = pending.pop(0)
                     future = pool.submit(task_fn, payload, task, attempt)
-                    deadline = (
-                        time.monotonic() + policy.timeout_s
-                        if policy.timeout_s is not None
-                        else None
-                    )
-                    running[future] = (task, attempt, deadline)
+                    running[future] = (task, attempt, _deadline(policy))
                 done, _ = _futures_wait(
-                    set(running), timeout=policy.poll_interval_s,
+                    set(running), timeout=_POLL_INTERVAL_S,
                     return_when=FIRST_COMPLETED,
                 )
                 now = time.monotonic()
@@ -691,12 +645,6 @@ _REGISTRY: Dict[str, type] = {
     "thread-lane": ThreadLaneBackend,
     "thread": ThreadLaneBackend,  # convenience alias
 }
-
-
-def backend_name(spec: Union[None, str, ExecutorBackend]) -> str:
-    """Canonical name of a backend spec (None = auto choice)."""
-    return create_backend(spec).name if not isinstance(spec, ExecutorBackend) \
-        else spec.name
 
 
 def auto_backend() -> ExecutorBackend:

@@ -21,11 +21,12 @@ Two properties make the merge *exact* rather than approximate:
   first-detection indices, same coverage
   (``tests/test_sharded.py`` holds every engine to this).
 
-Worker execution goes through a pluggable :mod:`repro.exec` backend
-(``backend=`` accepts ``"inline"``/``"fork"``/``"spawn"``/
-``"thread-lane"``, an :class:`~repro.exec.ExecutorBackend` instance, or
-``None`` for auto-selection: fork where available, else spawn — so
-spawn-only platforms get a real pool instead of silently degrading).
+Worker execution goes through a pluggable :mod:`repro.exec` backend,
+resolved by :func:`~repro.exec.create_backend` (``backend=`` accepts
+``"inline"``/``"fork"``/``"spawn"``/``"thread-lane"``, an
+:class:`~repro.exec.ExecutorBackend` instance, or ``None`` for
+auto-selection: fork where available, else spawn — so spawn-only
+platforms get a real pool instead of silently degrading).
 Execution still degrades gracefully: ``workers <= 1``, a single shard,
 or no usable process backend all fall back to in-process execution
 (the shard/merge path still runs when more than one shard was
@@ -39,13 +40,14 @@ the report, folded into the parent's active sink, and aggregated into
 the ``workers`` section of the flow's
 :class:`~repro.telemetry.RunManifest`.
 
-Fork-pool execution is *supervised* (:mod:`repro.resilience`): a worker
-that crashes, hangs past the supervision timeout, or raises is retried
-with jittered exponential backoff; a shard that keeps failing falls
-back to chaos-free in-process execution, so transient worker faults
-never change the result — it stays bit-identical to the fault-free
-run.  A shard that fails *deterministically* (in-process too) is
-handled per the :class:`~repro.resilience.FailurePolicy`: ``raise``
+Pooled execution is *supervised* by the backend's ``map``
+(:mod:`repro.resilience` supplies the policy and outcome types): a
+worker that crashes, hangs past the supervision timeout, or raises is
+retried with jittered exponential backoff; a shard that keeps failing
+falls back to chaos-free in-process execution, so transient worker
+faults never change the result — it stays bit-identical to the
+fault-free run.  A shard that fails *deterministically* (in-process
+too) is handled per the :class:`~repro.resilience.FailurePolicy`: ``raise``
 propagates (default), ``quarantine`` bisects the shard down to the
 smallest failing fault subset and excludes only that (reported in the
 manifest's validated ``failures`` section), ``degrade`` excludes the
@@ -56,13 +58,12 @@ exists to prove all of the above.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 import weakref
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .. import telemetry
-from ..exec.backends import ExecutorBackend, _REGISTRY as _BACKEND_REGISTRY
+from ..exec.backends import ExecutorBackend, create_backend
 from ..netlist.circuit import Circuit
 from ..faults.stuck_at import Fault
 from ..faults.models import (
@@ -86,11 +87,6 @@ Pattern = Mapping[str, int]
 #: names.  It is not part of the combinational Engine enum because its
 #: input is a clock-cycle sequence, not independent patterns.
 SEQUENTIAL_ENGINE = "sequential"
-
-
-def fork_available() -> bool:
-    """Can this platform run fork-based worker pools?"""
-    return "fork" in multiprocessing.get_all_start_methods()
 
 
 def shard_faults(faults: Sequence[Fault], shards: int) -> List[List[Fault]]:
@@ -290,45 +286,27 @@ class ShardedFaultSimulator:
     def _resolve_backend(self) -> Tuple[Optional[ExecutorBackend], Optional[str]]:
         """The pooled backend for this run, or ``(None, reason)``.
 
-        Auto-selection (``backend=None``) prefers fork — state ships to
-        children for free by inheritance — and falls back to spawn so
-        spawn-only platforms still get a real pool.  An explicitly
-        requested backend that is unavailable degrades to in-process
-        with a ``<name>_unavailable`` reason (never silently).  The
-        module-level :func:`fork_available` stays the single source of
-        truth for fork capability (tests monkeypatch it).
+        Resolution is :func:`~repro.exec.create_backend`'s (auto-select
+        prefers fork, else spawn).  A backend unavailable on this
+        platform degrades to in-process with a ``<name>_unavailable``
+        reason — ``fork_unavailable`` under auto-selection — never
+        silently.  Named backends are built once per simulator.
         """
         spec = self.backend_spec
+        backend = create_backend(spec)
         if isinstance(spec, ExecutorBackend):
-            return spec, None
-        if spec is None:
-            if fork_available():
-                name = "fork"
-            elif "spawn" in multiprocessing.get_all_start_methods():
-                name = "spawn"
-            else:
-                return None, "fork_unavailable"
-        else:
-            name = str(spec).strip().lower().replace("_", "-")
-            if name == "thread":
-                name = "thread-lane"
-            if name not in _BACKEND_REGISTRY:
-                raise ValueError(
-                    f"unknown execution backend {spec!r}; available: "
-                    f"{sorted(k for k in _BACKEND_REGISTRY if k != 'thread')}"
-                )
-        cls = _BACKEND_REGISTRY[name]
-        available = fork_available() if name == "fork" else cls.available()
-        if not available:
-            return None, f"{name}_unavailable"
-        instance = self._backends.get(name)
-        if instance is None:
-            instance = cls()
-            self._backends[name] = instance
+            return backend, None
+        if not type(backend).available():
+            return None, (
+                "fork_unavailable" if spec is None
+                else f"{backend.name}_unavailable"
+            )
+        cached = self._backends.setdefault(backend.name, backend)
+        if cached is backend:
             # Persistent-worker backends (spawn) must not leak children
             # when the simulator is dropped without an explicit close().
-            weakref.finalize(self, instance.close)
-        return instance, None
+            weakref.finalize(self, backend.close)
+        return cached, None
 
     def close(self) -> None:
         """Release any persistent backend workers (idempotent)."""

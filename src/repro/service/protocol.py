@@ -59,7 +59,6 @@ from typing import Any, Dict, Union
 
 __all__ = [
     "PROTOCOL_SCHEMA",
-    "ACCEPTED_SCHEMAS",
     "DEFAULT_PRIORITY",
     "MAX_LINE_BYTES",
     "OP_SUBMIT",
@@ -85,15 +84,9 @@ __all__ = [
 
 #: Version tag every request and event carries; a format change bumps
 #: it and old clients get a clean ``error`` event instead of garbage.
-#: v3 added per-job event sequence numbers and the ``resume`` op —
-#: compatible extensions, so v1/v2 requests are still accepted (see
-#: ``ACCEPTED_SCHEMAS``) and answered with v3 events.
+#: v3 added per-job event sequence numbers and the ``resume`` op; it is
+#: the only request schema the server accepts.
 PROTOCOL_SCHEMA = "repro.service/3"
-
-#: Request schemas the server accepts.  v1 predates ``priority``; v2
-#: predates ``seq``/``resume``.  Older submits simply run with the
-#: newer fields defaulted.
-ACCEPTED_SCHEMAS = ("repro.service/1", "repro.service/2", PROTOCOL_SCHEMA)
 
 #: Default submit priority (higher runs sooner within a tenant's share).
 DEFAULT_PRIORITY = 0
@@ -197,10 +190,10 @@ def shutdown_request() -> Dict[str, Any]:
 def validate_request(data: Dict[str, Any]) -> Dict[str, Any]:
     """Check schema tag, op, and op-specific fields; raises on junk."""
     schema = data.get("schema")
-    if schema not in ACCEPTED_SCHEMAS:
+    if schema != PROTOCOL_SCHEMA:
         raise ProtocolError(
-            f"unknown protocol schema {schema!r} (expected one of "
-            f"{list(ACCEPTED_SCHEMAS)})"
+            f"unknown protocol schema {schema!r} (expected "
+            f"{PROTOCOL_SCHEMA!r})"
         )
     op = data.get("op")
     if op not in OPS:

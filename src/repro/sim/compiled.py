@@ -109,7 +109,8 @@ class CompiledCircuit:
     """
 
     def __init__(self, circuit: Circuit) -> None:
-        self.circuit = circuit
+        # No reference back to ``circuit``: programs are the values of a
+        # weak-keyed cache, and a back-reference would keep the key alive.
         self.version = circuit.version
         order = circuit.topological_order()
 
@@ -464,11 +465,9 @@ class FaultInjector:
         good machine, matching the forgiving force semantics of
         :class:`repro.sim.packed.PackedSimulator`.
         """
-        outputs = self.program.circuit.outputs
         if site is None:
-            good = self.good
-            index = self.program.index
-            return {net: good[index[net]] for net in outputs}
-        faulty = self.faulty_words(site, forced_word)
-        index = self.program.index
-        return {net: faulty[index[net]] for net in outputs}
+            words = self.good
+        else:
+            words = self.faulty_words(site, forced_word)
+        names = self.program.net_names
+        return {names[i]: words[i] for i in self.program.output_indices}

@@ -20,7 +20,8 @@ from repro.campaign import CampaignRunner, CampaignSpec
 from repro.circuits import c17
 from repro.faults import collapse_faults
 from repro.faultsim import sharded_coverage
-from repro.faultsim.sharded import ShardedFaultSimulator, fork_available
+from repro.exec import ForkBackend
+from repro.faultsim.sharded import ShardedFaultSimulator
 from repro.resilience import (
     ChaosConfig,
     ChaosError,
@@ -32,7 +33,7 @@ from repro.resilience import (
 from repro.telemetry import validate_manifest
 
 fork_only = pytest.mark.skipif(
-    not fork_available(), reason="requires fork start method"
+    not ForkBackend.available(), reason="requires fork start method"
 )
 
 
@@ -48,7 +49,6 @@ def fast_supervision(**overrides):
     options = dict(
         timeout_s=10.0,
         retry=RetryPolicy(max_retries=2, sleep=lambda s: None),
-        term_grace_s=2.0,
     )
     options.update(overrides)
     return SupervisionPolicy(**options)

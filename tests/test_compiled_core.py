@@ -8,9 +8,11 @@ mutate circuits *after* simulating and assert fresh — never stale —
 results.
 """
 
+import gc
+
 import pytest
 
-from repro.circuits import c17
+from repro.circuits import c17, iscas85_like
 from repro.netlist import Circuit, GateType, NetlistError
 from repro.sim import (
     LogicSimulator,
@@ -18,6 +20,7 @@ from repro.sim import (
     PackedSimulator,
     compile_circuit,
 )
+from repro.sim import compiled as compiled_module
 
 
 def _xor_pair():
@@ -72,6 +75,18 @@ class TestProgramCache:
         assert [program.net_names[i] for i in program.output_indices] == list(
             c.outputs
         )
+
+    def test_dropped_circuits_leave_the_cache(self):
+        # A cached program must not keep its own weak key alive.
+        gc.collect()
+        before = len(compiled_module._PROGRAM_CACHE)
+        circuits = [iscas85_like("r432") for _ in range(3)]
+        for circuit in circuits:
+            compile_circuit(circuit)
+        assert len(compiled_module._PROGRAM_CACHE) == before + 3
+        del circuits, circuit
+        gc.collect()
+        assert len(compiled_module._PROGRAM_CACHE) == before
 
     def test_cyclic_circuit_rejected(self):
         c = Circuit("latch")

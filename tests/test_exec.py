@@ -13,6 +13,7 @@ interpreter, so closures would not survive the trip.
 """
 
 import os
+import pickle
 import threading
 import time
 
@@ -21,17 +22,13 @@ import pytest
 from repro import telemetry
 from repro.exec import (
     BACKENDS,
-    ExecCancelledError,
-    ExecTaskError,
     ForkBackend,
     InlineBackend,
     SpawnBackend,
     ThreadLaneBackend,
     auto_backend,
-    backend_name,
     create_backend,
 )
-from repro.exec import backends as backends_module
 from repro.resilience import RetryPolicy
 from repro.resilience.supervisor import SupervisionPolicy
 
@@ -64,6 +61,10 @@ def _crash_once(payload, task, attempt):
     if attempt == 0:
         os._exit(23)
     return task
+
+
+def _payload_size(payload, task, attempt):
+    return len(payload["big"])
 
 
 def _count_and_return(payload, task, attempt):
@@ -144,52 +145,6 @@ class TestContract:
         assert session.counters["resilience.worker_exception"] == 2
         assert session.counters["resilience.retry"] == 1
 
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_submit_returns_result(self, name):
-        with make_backend(name) as backend:
-            handle = backend.submit(_scale, 7, 6, policy=_policy())
-            assert handle.result(timeout=60) == 42
-        assert handle.done() and not handle.cancelled()
-        assert handle.cancel() is False  # too late to cancel
-
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_submit_failure_raises_exec_task_error(self, name):
-        with make_backend(name) as backend:
-            handle = backend.submit(_boom, None, "t", policy=_policy())
-            with pytest.raises(ExecTaskError) as info:
-                handle.result(timeout=60)
-        assert info.value.failure.error == "RuntimeError"
-
-
-class TestCancellation:
-    def test_cancel_before_start_wins(self, monkeypatch):
-        """A handle cancelled before its thread runs never executes."""
-        parked = []
-
-        class ParkedThread:
-            def __init__(self, target=None, daemon=None, name=None):
-                self.target = target
-
-            def start(self):
-                parked.append(self)
-
-        monkeypatch.setattr(backends_module.threading, "Thread", ParkedThread)
-        backend = InlineBackend()
-        handle = backend.submit(_scale, 2, 5)
-        assert handle.cancel() is True
-        monkeypatch.undo()
-        parked[0].target()  # the task finally gets scheduled
-        assert handle.cancelled()
-        with pytest.raises(ExecCancelledError):
-            handle.result(timeout=1)
-
-    def test_result_timeout(self):
-        with ThreadLaneBackend() as backend:
-            handle = backend.submit(_sleepy, 0.5, "slow")
-            with pytest.raises(TimeoutError):
-                handle.result(timeout=0.01)
-            assert handle.result(timeout=30) == "slow"
-
 
 # ----------------------------------------------------------------------
 # Capability differences, pinned per backend
@@ -232,6 +187,28 @@ class TestIsolation:
                 _crash_once, None, ["x"], workers=1, policy=_policy(retries=0)
             )
         assert outcome.failed["x"].kind == "crash"
+
+    @pytest.mark.parametrize("name", ("fork", "spawn"))
+    def test_crash_failure_reports_exit_code(self, name):
+        with make_backend(name) as backend:
+            outcome = backend.map(
+                _crash_once, None, ["x"], workers=1, policy=_policy(retries=0)
+            )
+        failure = outcome.failed["x"]
+        assert failure.error == "WorkerCrash"
+        assert "code 23" in failure.message
+
+    def test_fork_payload_reaches_child_unpickled(self):
+        # Fork ships state by inheritance: a payload that cannot pickle
+        # (it holds a lock) still reaches the child.
+        payload = {"lock": threading.Lock(), "big": list(range(100))}
+        with pytest.raises(TypeError):
+            pickle.dumps(payload)
+        with make_backend("fork") as backend:
+            outcome = backend.map(
+                _payload_size, payload, [0], workers=1, policy=_policy()
+            )
+        assert outcome.results == {0: 100}
 
 
 class TestSpawnStateShipping:
@@ -336,8 +313,3 @@ class TestRegistry:
             lambda cls: False
         ))
         assert isinstance(auto_backend(), SpawnBackend)
-
-    def test_backend_name_resolves_spec(self):
-        assert backend_name("thread") == "thread-lane"
-        assert backend_name(InlineBackend()) == "inline"
-        assert backend_name(None) in ("fork", "spawn")

@@ -1,16 +1,14 @@
 """Unit tests for the fault-tolerant execution layer.
 
-Covers the three :mod:`repro.resilience` building blocks in isolation:
+Covers the :mod:`repro.resilience` building blocks in isolation:
 retry/backoff policies (deterministic jittered schedules, injectable
-sleep), failure records (manifest row shape, traceback digests), and
-the fork-based worker supervisor (ok / crash / hang / exception
-classification, bounded retries, exhausted tasks handed back).  The
-end-to-end behaviour of these pieces under the sharded simulator and
-the campaign runner lives in ``tests/test_chaos.py``.
+sleep), failure records (manifest row shape, traceback digests) and the
+chaos harness's dice.  Supervised execution itself (ok / crash / hang /
+exception classification, bounded retries, exhausted tasks handed back)
+is the backend contract in ``tests/test_exec.py``; the end-to-end
+behaviour under the sharded simulator and the campaign runner lives in
+``tests/test_chaos.py``.
 """
-
-import os
-import time
 
 import pytest
 
@@ -22,16 +20,9 @@ from repro.resilience import (
     FailureRecord,
     PoisonedFaultError,
     RetryPolicy,
-    SupervisionPolicy,
     corrupt_json_file,
     failure_record,
-    supervise,
     traceback_digest,
-)
-from repro.faultsim.sharded import fork_available
-
-fork_only = pytest.mark.skipif(
-    not fork_available(), reason="requires fork start method"
 )
 
 
@@ -183,101 +174,3 @@ class TestChaosConfig:
             outcomes.append(chaos.maybe_corrupt_checkpoint(victim, sequence))
         # Independent draws per rewrite: neither all hits nor all misses.
         assert any(outcomes) and not all(outcomes)
-
-
-@fork_only
-class TestSupervise:
-    def _policy(self, **overrides):
-        options = dict(retry=no_sleep_retry())
-        options.update(overrides)
-        return SupervisionPolicy(**options)
-
-    def test_all_ok(self):
-        outcome = supervise(
-            range(5), lambda task, attempt: task * task, workers=2,
-            policy=self._policy(),
-        )
-        assert outcome.results == {i: i * i for i in range(5)}
-        assert outcome.failed == {}
-        assert outcome.retries == 0
-
-    def test_exception_retried_then_ok(self):
-        def task_fn(task, attempt):
-            if task == 1 and attempt == 0:
-                raise ValueError("transient")
-            return task
-
-        with telemetry.capture() as session:
-            outcome = supervise(
-                range(3), task_fn, workers=2, policy=self._policy()
-            )
-        assert outcome.results == {0: 0, 1: 1, 2: 2}
-        assert outcome.retries == 1
-        assert session.counters["resilience.worker_exception"] == 1
-        assert session.counters["resilience.retry"] == 1
-        (event,) = [e for e in outcome.events if e["action"] == "retry"]
-        assert (event["task"], event["kind"]) == (1, "exception")
-
-    def test_crash_retried_then_ok(self):
-        def task_fn(task, attempt):
-            if task == 0 and attempt == 0:
-                os._exit(23)
-            return task
-
-        with telemetry.capture() as session:
-            outcome = supervise(
-                range(2), task_fn, workers=2, policy=self._policy()
-            )
-        assert outcome.results == {0: 0, 1: 1}
-        assert session.counters["resilience.worker_crash"] == 1
-
-    def test_hang_terminated_and_retried(self):
-        def task_fn(task, attempt):
-            if task == 0 and attempt == 0:
-                time.sleep(60)
-            return task
-
-        with telemetry.capture() as session:
-            outcome = supervise(
-                range(2), task_fn, workers=2,
-                policy=self._policy(timeout_s=0.5, term_grace_s=1.0),
-            )
-        assert outcome.results == {0: 0, 1: 1}
-        assert session.counters["resilience.worker_hang"] == 1
-
-    def test_exhausted_task_lands_in_failed(self):
-        def task_fn(task, attempt):
-            raise RuntimeError(f"always broken {task}")
-
-        outcome = supervise(
-            [7], task_fn, workers=1,
-            policy=self._policy(retry=no_sleep_retry(max_retries=1)),
-        )
-        assert outcome.results == {}
-        failure = outcome.failed[7]
-        assert failure.kind == "exception"
-        assert failure.error == "RuntimeError"
-        assert "always broken 7" in failure.message
-        assert failure.attempts == 2  # first try + one retry
-        assert len(failure.digest) == 12
-
-    def test_crash_failure_reports_exit_code(self):
-        def task_fn(task, attempt):
-            os._exit(23)
-
-        outcome = supervise(
-            [0], task_fn, workers=1,
-            policy=self._policy(retry=no_sleep_retry(max_retries=0)),
-        )
-        failure = outcome.failed[0]
-        assert failure.kind == "crash"
-        assert "23" in failure.message
-
-    def test_state_travels_by_fork_inheritance(self):
-        # The closure's captured state must reach children un-pickled.
-        payload = {"big": list(range(100))}
-        outcome = supervise(
-            [0], lambda task, attempt: len(payload["big"]), workers=1,
-            policy=self._policy(),
-        )
-        assert outcome.results == {0: 100}

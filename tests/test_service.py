@@ -448,12 +448,23 @@ class TestAccountingSurvivesRestart:
 
 
 class TestPriorityScheduling:
-    def test_v1_requests_still_accepted_at_default_priority(self, daemon):
+    def test_v1_request_rejected_and_daemon_keeps_serving(self, daemon):
         client, _ = daemon()
         from repro.service.protocol import submit_request
 
         message = submit_request(tiny_spec().to_dict(), tenant="old")
         message["schema"] = "repro.service/1"
+        events = list(client.request_iter(message))
+        assert len(events) == 1
+        assert events[0]["event"] == "error"
+        assert events[0]["code"] == "protocol"
+        assert client.submit(tiny_spec(), tenant="old").ok
+
+    def test_submit_without_priority_runs_at_default_priority(self, daemon):
+        client, _ = daemon()
+        from repro.service.protocol import submit_request
+
+        message = submit_request(tiny_spec().to_dict(), tenant="new")
         del message["priority"]
         events = list(client.request_iter(message))
         assert events[0]["event"] == "accepted"

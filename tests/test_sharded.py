@@ -34,8 +34,8 @@ from repro.faultsim import (
     sharded_coverage,
 )
 from repro.faultsim.coverage import CoverageReport
-from repro.faultsim import sharded as sharded_module
 from repro.atpg import generate_tests
+from repro.exec import ForkBackend, create_backend
 from repro.scan import full_scan_flow, insert_scan, schedule_scan_tests
 
 WORKER_COUNTS = (1, 2, 4)
@@ -176,7 +176,9 @@ class TestCombinationalDeterminism:
 
     def test_inprocess_fallback_matches(self, monkeypatch):
         """Pinned fork backend, no fork support => in-process, same result."""
-        monkeypatch.setattr(sharded_module, "fork_available", lambda: False)
+        monkeypatch.setattr(
+            ForkBackend, "available", classmethod(lambda cls: False)
+        )
         circuit = c17()
         faults = collapse_faults(circuit)
         patterns = random_patterns(circuit, 8, seed=5)
@@ -192,7 +194,9 @@ class TestCombinationalDeterminism:
 
     def test_auto_backend_uses_spawn_when_fork_unavailable(self, monkeypatch):
         """Spawn-only platforms get a real pool, not silent degradation."""
-        monkeypatch.setattr(sharded_module, "fork_available", lambda: False)
+        monkeypatch.setattr(
+            ForkBackend, "available", classmethod(lambda cls: False)
+        )
         circuit = c17()
         faults = collapse_faults(circuit)
         patterns = random_patterns(circuit, 8, seed=5)
@@ -452,7 +456,9 @@ class TestFallbackObservability:
     def test_fork_unavailable_fallback_is_counted_with_reason(
         self, monkeypatch
     ):
-        monkeypatch.setattr(sharded_module, "fork_available", lambda: False)
+        monkeypatch.setattr(
+            ForkBackend, "available", classmethod(lambda cls: False)
+        )
         simulator = ShardedFaultSimulator(
             self.circuit, workers=2, backend="fork"
         )
@@ -490,7 +496,9 @@ class TestFallbackObservability:
         assert quiet.failures_section() is None
 
     def test_fallbacks_reach_flow_manifests(self, monkeypatch):
-        monkeypatch.setattr(sharded_module, "fork_available", lambda: False)
+        monkeypatch.setattr(
+            ForkBackend, "available", classmethod(lambda cls: False)
+        )
         result = generate_tests(
             self.circuit, random_phase=4, workers=2, backend="fork"
         )
@@ -601,3 +609,25 @@ class TestBackendMatrix:
         section = simulator.workers_section()
         assert section["mode"] == "inline"
         assert section["effective"] == 1
+
+    @pytest.mark.parametrize("spec", ("THREAD_LANE", "thread"))
+    def test_backend_names_resolve_as_create_backend_does(self, spec):
+        circuit = c17()
+        patterns = random_patterns(circuit, 6, seed=15)
+        simulator = ShardedFaultSimulator(circuit, workers=2, backend=spec)
+        try:
+            simulator.run(patterns)
+            expected = create_backend(spec).name
+            assert simulator.workers_section()["backend"] == expected
+        finally:
+            simulator.close()
+
+    def test_unknown_backend_raises_create_backend_error(self):
+        with pytest.raises(ValueError) as expected:
+            create_backend("carrier-pigeon")
+        simulator = ShardedFaultSimulator(
+            c17(), workers=2, backend="carrier-pigeon"
+        )
+        with pytest.raises(ValueError) as raised:
+            simulator.run(random_patterns(c17(), 4, seed=16))
+        assert str(raised.value) == str(expected.value)
