@@ -234,14 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: unlimited)",
     )
     serve.add_argument(
-        "--index-max-bytes",
-        type=int,
-        default=1 << 20,
-        metavar="BYTES",
-        help="rotate the store's index.jsonl journal past this size "
-        "(default: 1 MiB)",
-    )
-    serve.add_argument(
         "--quarantine-max-files",
         type=int,
         default=64,
@@ -254,14 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the jobs journal: accepted jobs are not durable "
         "and a daemon crash loses them (default: journal to "
         "<store>/jobs.jsonl and recover open jobs on start)",
-    )
-    serve.add_argument(
-        "--journal-max-bytes",
-        type=int,
-        default=1 << 20,
-        metavar="BYTES",
-        help="rotate <store>/jobs.jsonl past this size, compacting "
-        "open jobs into a snapshot line (default: 1 MiB)",
     )
     serve.add_argument(
         "--job-history",
@@ -352,11 +336,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             failure_policy=args.failure_policy,
             size_budget_bytes=args.size_budget,
             tenant_quota_bytes=args.tenant_quota,
-            index_max_bytes=args.index_max_bytes,
             quarantine_max_files=args.quarantine_max_files,
             ready_file=ready_file,
             job_journal=not args.no_journal,
-            journal_max_bytes=max(4096, args.journal_max_bytes),
             job_history=max(1, args.job_history),
             cell_deadline_s=args.cell_deadline,
         )

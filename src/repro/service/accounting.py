@@ -3,45 +3,42 @@
 PR 8's byte quotas lived in a daemon-local dict, so a SIGTERM (deploy,
 host reboot) reset every tenant to zero — a tenant at its quota could
 simply wait for the next restart.  :class:`TenantLedger` journals
-every charge to ``<store>/tenants.jsonl`` (one JSON line per event,
-same append-and-rotate machinery as the store's ``index.jsonl``) and
-replays the journal on daemon start, so usage picks up exactly where
-the previous daemon left off.
+every charge to ``<store>/tenants.jsonl`` and replays the journal on
+daemon start, so usage picks up exactly where the previous daemon left
+off.
 
 Journal lines::
 
     {"op": "charge", "tenant": str, "bytes": int}
     {"op": "snapshot", "tenants": {tenant: bytes, ...}}
 
-Rotation compacts rather than discards: when the journal passes
-``max_bytes`` it is renamed to ``tenants.jsonl.1`` (replacing any
-previous rotation) and the fresh journal opens with a single
-``snapshot`` line carrying the full current state — so disk use stays
-bounded at ~2x the threshold and a replay never needs the rotated
-file.  Replay reads the newest file that exists (current journal,
-else the rotation), applying the last snapshot then every charge
-after it.
-
-Journal write failures are swallowed (quotas degrade to session-local
-accounting rather than taking the service down); replay failures on a
-corrupt line — e.g. a tail torn by power loss mid-append — skip that
-line, counted as ``service.ledger.torn`` and surfaced on
-:attr:`TenantLedger.torn_lines`.
+The file is a :class:`repro.journal.Journal`: rotation compacts to one
+``snapshot`` line with the full current state, so disk use stays
+bounded at ~2x ``max_bytes``; replay applies the last snapshot and
+every charge after it.  A torn line is skipped and counted
+(``service.ledger.torn``, :attr:`TenantLedger.torn_lines`); an
+unreadable journal raises :class:`repro.journal.JournalError` (``serve``
+exits 3) rather than silently resetting every quota to 0.  Write
+failures degrade quotas to session-local accounting; they never fail
+the request.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 from typing import Dict, Union
 
 from .. import telemetry
+from ..journal import Journal
 
 __all__ = ["TenantLedger", "TENANTS_JOURNAL"]
 
 #: Journal filename under the store root.
 TENANTS_JOURNAL = "tenants.jsonl"
+
+
+def _is_amount(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class TenantLedger:
@@ -51,63 +48,33 @@ class TenantLedger:
                  max_bytes: int = 1 << 20) -> None:
         self.root = Path(root)
         self.path = self.root / TENANTS_JOURNAL
-        self.max_bytes = int(max_bytes)
         self.tenant_bytes: Dict[str, int] = {}
-        #: Unparseable journal lines skipped during replay (torn tail).
-        self.torn_lines = 0
-        self._load()
-
-    # -- replay --------------------------------------------------------
-    def _load(self) -> None:
-        """Rebuild the in-memory map from the newest journal on disk."""
-        path = self.path
-        if not path.exists():
-            rotated = path.parent / (path.name + ".1")
-            if not rotated.exists():
-                return
-            path = rotated
-        try:
-            with open(path, "r", encoding="utf-8") as stream:
-                lines = stream.readlines()
-        except OSError:
-            return
-        state: Dict[str, int] = {}
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                # Torn write (classic crash mid-append); later lines
-                # still apply.  Count it — silent data loss is how
-                # quota drift goes unnoticed.
-                self.torn_lines += 1
-                telemetry.incr("service.ledger.torn")
-                continue
-            if not isinstance(entry, dict):
-                self.torn_lines += 1
-                telemetry.incr("service.ledger.torn")
-                continue
+        self.journal = Journal(
+            self.path, "service.ledger", max_bytes, snapshot=self._snapshot
+        )
+        for entry in self.journal.replay():
             op = entry.get("op")
             if op == "snapshot" and isinstance(entry.get("tenants"), dict):
-                state = {
-                    str(tenant): int(value)
+                self.tenant_bytes = {
+                    str(tenant): value
                     for tenant, value in entry["tenants"].items()
-                    if isinstance(value, int) and not isinstance(value, bool)
+                    if _is_amount(value)
                 }
             elif op == "charge":
                 tenant = entry.get("tenant")
                 amount = entry.get("bytes")
-                if (
-                    isinstance(tenant, str)
-                    and isinstance(amount, int)
-                    and not isinstance(amount, bool)
-                ):
-                    state[tenant] = state.get(tenant, 0) + amount
-        self.tenant_bytes = state
-        if state:
+                if isinstance(tenant, str) and _is_amount(amount):
+                    self.tenant_bytes[tenant] = self.usage(tenant) + amount
+        if self.tenant_bytes:
             telemetry.incr("service.ledger.resumed")
+
+    @property
+    def torn_lines(self) -> int:
+        """Unparseable journal lines skipped during replay (torn tail)."""
+        return self.journal.torn_lines
+
+    def _snapshot(self) -> Dict[str, object]:
+        return {"op": "snapshot", "tenants": dict(self.tenant_bytes)}
 
     # -- accounting ----------------------------------------------------
     def usage(self, tenant: str) -> int:
@@ -122,7 +89,9 @@ class TenantLedger:
         state without this charge, or replaying snapshot + charge line
         would double-count it.
         """
-        self._append({"op": "charge", "tenant": tenant, "bytes": int(amount)})
+        self.journal.append(
+            {"op": "charge", "tenant": tenant, "bytes": int(amount)}
+        )
         total = self.tenant_bytes.get(tenant, 0) + int(amount)
         self.tenant_bytes[tenant] = total
         return total
@@ -130,37 +99,3 @@ class TenantLedger:
     def snapshot(self) -> Dict[str, int]:
         """Copy of the full tenant -> bytes map (for status/manifest)."""
         return dict(self.tenant_bytes)
-
-    # -- journal -------------------------------------------------------
-    def _append(self, entry: Dict[str, int]) -> None:
-        """Append one journal line, rotating past ``max_bytes``.
-
-        Mirrors ``ResultStore._index``: the in-memory map is the
-        source of truth for the running daemon, so journal I/O errors
-        are swallowed — accounting degrades to session-local instead
-        of failing the request.
-        """
-        try:
-            try:
-                if self.path.stat().st_size >= self.max_bytes:
-                    os.replace(
-                        self.path, self.path.parent / (self.path.name + ".1")
-                    )
-                    telemetry.incr("service.ledger.rotated")
-                    # Seed the fresh journal with the full state so a
-                    # replay never needs the rotated file.
-                    with open(self.path, "a", encoding="utf-8") as stream:
-                        stream.write(json.dumps(
-                            {"op": "snapshot",
-                             "tenants": dict(self.tenant_bytes)},
-                            sort_keys=True,
-                        ))
-                        stream.write("\n")
-            except FileNotFoundError:
-                pass
-            self.root.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as stream:
-                stream.write(json.dumps(entry, sort_keys=True))
-                stream.write("\n")
-        except OSError:
-            pass

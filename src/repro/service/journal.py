@@ -10,50 +10,43 @@ journal, and every *open* job (an ``accepted`` line with no matching
 cells that completed before the crash are content-addressed store
 hits, so recovery only pays for the work the crash actually lost.
 
-Journal lines (same append-and-rotate machinery as ``tenants.jsonl``)::
+Journal lines::
 
     {"op": "accepted", "n": int, "job": {job_id, tenant, priority,
                                          return_payloads, spec}}
     {"op": "done", "job_id": str}
     {"op": "snapshot", "next_job": int, "jobs": [open job records]}
 
-Rotation compacts rather than discards: past ``max_bytes`` the journal
-is renamed to ``jobs.jsonl.1`` and the fresh file opens with one
-``snapshot`` line carrying every still-open job plus the job-number
-watermark, so a replay never needs the rotated file and completed
-jobs' lines are garbage-collected by the same move.
-
-Replay is torn-tail tolerant: a line that fails to parse (the classic
-power-loss mid-append) is *skipped* with a telemetry counter
-(``service.journal.torn``) instead of failing the restart — losing one
-journal line costs at most one job's recoverability, never the
-daemon.  An outright unreadable journal (permissions, a directory in
-the way) raises :class:`JobJournalError`, which ``python -m repro
-serve`` maps to exit code 3 — refusing to silently serve with
-recovery broken.
-
-Write failures after construction are swallowed with a counter
-(``service.journal.write_failed``): like the tenant ledger, the daemon
-degrades to session-local job tracking rather than refusing traffic.
+The file work — append, atomic compacting rotation (the new file
+opens with a ``snapshot`` of every open job plus the job-number
+watermark), torn-line skipping (``service.journal.torn``) — is the
+shared :class:`repro.journal.Journal`.  An unreadable journal raises
+:class:`JobJournalError` (``serve`` exits 3); a failed write degrades
+to session-local job tracking and never refuses traffic.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Optional, Union
 
 from .. import telemetry
+from ..journal import Journal, JournalError
 
 __all__ = ["JobJournal", "JobJournalError", "JOBS_JOURNAL"]
 
 #: Journal filename under the store root.
 JOBS_JOURNAL = "jobs.jsonl"
 
+#: Raised when a service journal exists but cannot be read.
+JobJournalError = JournalError
 
-class JobJournalError(Exception):
-    """The journal exists but cannot be read — recovery is impossible."""
+
+def _number(value: Any) -> Optional[int]:
+    """``value`` if it is a plain int (not a bool), else None."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    return None
 
 
 def _valid_job(record: Any) -> Optional[Dict[str, Any]]:
@@ -65,12 +58,10 @@ def _valid_job(record: Any) -> Optional[Dict[str, Any]]:
     if not isinstance(job_id, str) or not job_id or not isinstance(spec, dict):
         return None
     tenant = record.get("tenant")
-    priority = record.get("priority", 0)
     return {
         "job_id": job_id,
         "tenant": tenant if isinstance(tenant, str) and tenant else "default",
-        "priority": priority if isinstance(priority, int)
-        and not isinstance(priority, bool) else 0,
+        "priority": _number(record.get("priority")) or 0,
         "return_payloads": bool(record.get("return_payloads", False)),
         "spec": spec,
     }
@@ -88,91 +79,64 @@ class JobJournal:
     ) -> None:
         self.root = Path(root)
         self.path = self.root / JOBS_JOURNAL
-        self.max_bytes = int(max_bytes)
         self.enabled = bool(enabled)
         self.chaos = chaos
         #: job_id -> normalized job record, in acceptance order.
         self.open_jobs: Dict[str, Dict[str, Any]] = {}
         #: First job number the new daemon lifetime may assign.
         self.next_job_number = 0
-        self.torn_lines = 0
-        self.rotations = 0
-        self.write_failures = 0
         self._append_seq = 0
-        #: Cached journal size so the rotation check costs no stat()
-        #: per append; re-synced from disk on any write failure.
-        self._size = 0
+        self.journal = Journal(
+            self.path, "service.journal", max_bytes, snapshot=self._snapshot
+        )
         if self.enabled:
             self._load()
-            try:
-                self.root.mkdir(parents=True, exist_ok=True)
-                self._size = self.path.stat().st_size
-            except FileNotFoundError:
-                self._size = 0
-            except OSError as exc:
-                raise JobJournalError(
-                    f"jobs journal directory {self.root} is unusable: {exc}"
-                ) from exc
+
+    @property
+    def torn_lines(self) -> int:
+        """Torn journal lines skipped (or truncated) so far."""
+        return self.journal.torn_lines
+
+    @property
+    def rotations(self) -> int:
+        """Journal rotations this lifetime."""
+        return self.journal.rotations
 
     # -- replay --------------------------------------------------------
     def _load(self) -> None:
         """Rebuild the open-job set from the newest journal on disk."""
-        path = self.path
-        if not path.exists():
-            rotated = path.parent / (path.name + ".1")
-            if not rotated.exists():
-                return
-            path = rotated
-        try:
-            with open(path, "r", encoding="utf-8") as stream:
-                lines = stream.readlines()
-        except OSError as exc:
-            raise JobJournalError(
-                f"jobs journal {path} exists but cannot be read: {exc}"
-            ) from exc
-        open_jobs: Dict[str, Dict[str, Any]] = {}
-        next_job = 0
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                # Torn tail (or mid-file bit rot): skip, count, carry on
-                # — restart recovery must never die on one bad line.
-                self.torn_lines += 1
-                telemetry.incr("service.journal.torn")
-                continue
-            if not isinstance(entry, dict):
-                self.torn_lines += 1
-                telemetry.incr("service.journal.torn")
-                continue
+        for entry in self.journal.replay():
             op = entry.get("op")
             if op == "accepted":
                 job = _valid_job(entry.get("job"))
                 if job is not None:
-                    open_jobs[job["job_id"]] = job
-                number = entry.get("n")
-                if isinstance(number, int) and not isinstance(number, bool):
-                    next_job = max(next_job, number + 1)
+                    self.open_jobs[job["job_id"]] = job
+                number = _number(entry.get("n"))
+                if number is not None:
+                    self.next_job_number = max(
+                        self.next_job_number, number + 1
+                    )
             elif op == "done":
-                open_jobs.pop(entry.get("job_id"), None)
+                self.open_jobs.pop(entry.get("job_id"), None)
             elif op == "snapshot":
                 jobs = entry.get("jobs")
                 if isinstance(jobs, list):
-                    open_jobs = {}
-                    for record in jobs:
-                        job = _valid_job(record)
-                        if job is not None:
-                            open_jobs[job["job_id"]] = job
-                number = entry.get("next_job")
-                if isinstance(number, int) and not isinstance(number, bool):
-                    next_job = max(next_job, number)
-        self.open_jobs = open_jobs
-        self.next_job_number = next_job
-        if open_jobs:
-            telemetry.incr("service.journal.recovered", len(open_jobs))
+                    valid = [_valid_job(record) for record in jobs]
+                    self.open_jobs = {
+                        job["job_id"]: job for job in valid if job is not None
+                    }
+                number = _number(entry.get("next_job"))
+                if number is not None:
+                    self.next_job_number = max(self.next_job_number, number)
+        if self.open_jobs:
+            telemetry.incr("service.journal.recovered", len(self.open_jobs))
+
+    def _snapshot(self) -> Dict[str, Any]:
+        return {
+            "op": "snapshot",
+            "next_job": self.next_job_number,
+            "jobs": list(self.open_jobs.values()),
+        }
 
     # -- recording -----------------------------------------------------
     def record_accepted(
@@ -206,56 +170,14 @@ class JobJournal:
         return {
             "enabled": int(self.enabled),
             "open": len(self.open_jobs),
-            "torn_lines": self.torn_lines,
-            "rotations": self.rotations,
-            "write_failures": self.write_failures,
+            "torn_lines": self.journal.torn_lines,
+            "rotations": self.journal.rotations,
+            "write_failures": self.journal.write_failures,
         }
 
-    # -- journal -------------------------------------------------------
     def _append(self, entry: Dict[str, Any]) -> None:
-        """Append one line, rotating past ``max_bytes``.
-
-        Mirrors :class:`~repro.service.accounting.TenantLedger`: the
-        in-memory set is the running daemon's source of truth, so
-        write errors degrade durability (counted, never raised).
-        """
-        if not self.enabled:
-            return
-        try:
-            if self._size >= self.max_bytes:
-                try:
-                    os.replace(
-                        self.path, self.path.parent / (self.path.name + ".1")
-                    )
-                except FileNotFoundError:
-                    pass
-                self.rotations += 1
-                telemetry.incr("service.journal.rotated")
-                # Seed the fresh journal with every open job so a
-                # replay never needs the rotated file; done jobs'
-                # lines are compacted away by the same move.
-                snapshot = json.dumps(
-                    {
-                        "op": "snapshot",
-                        "next_job": self.next_job_number,
-                        "jobs": list(self.open_jobs.values()),
-                    },
-                    sort_keys=True,
-                ) + "\n"
-                with open(self.path, "a", encoding="utf-8") as stream:
-                    stream.write(snapshot)
-                self._size = len(snapshot.encode("utf-8"))
-            line = json.dumps(entry, sort_keys=True) + "\n"
-            with open(self.path, "a", encoding="utf-8") as stream:
-                stream.write(line)
-            self._size += len(line.encode("utf-8"))
-        except OSError:
-            self.write_failures += 1
-            telemetry.incr("service.journal.write_failed")
-            try:  # re-sync the cached size; the write may be partial
-                self._size = self.path.stat().st_size
-            except OSError:
-                self._size = 0
+        """Append one line; the chaos harness may then tear it."""
+        if not self.enabled or not self.journal.append(entry):
             return
         self._append_seq += 1
         if self.chaos is not None:

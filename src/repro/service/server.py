@@ -29,8 +29,9 @@ Architecture (one process, one event loop):
   content-addressed store hits, so recovery only re-pays the work the
   crash actually lost, and a resuming client sees the identical
   deterministic event order.  Replay tolerates a torn final journal
-  line (skip + count); an outright unreadable journal makes ``serve``
-  exit with code 3 rather than run with recovery silently broken.
+  line (skip + count); an outright unreadable jobs or tenants journal
+  makes ``serve`` exit with code 3 rather than run with recovery
+  silently broken.
 * **Dedupe through ``cache_key``** — a cell's identity is its content
   address.  Before scheduling, the server consults the *in-flight
   table*: if another tenant's identical cell is already executing, the
@@ -188,7 +189,6 @@ class ServiceConfig:
     max_retries: int = 0
     failure_policy: Union[str, FailurePolicy] = FailurePolicy.QUARANTINE
     size_budget_bytes: Optional[int] = None
-    index_max_bytes: int = 1 << 20
     quarantine_max_files: int = 64
     quarantine_max_age_s: Optional[float] = None
     tenant_quota_bytes: Optional[int] = None
@@ -197,7 +197,6 @@ class ServiceConfig:
     #: Journal accepted jobs to <store>/jobs.jsonl (journal-before-ack)
     #: and recover open jobs on start.  Off = session-local jobs only.
     job_journal: bool = True
-    journal_max_bytes: int = 1 << 20
     #: Finished jobs kept resumable (event buffers retained).  Open
     #: jobs are never evicted from the resume table.
     job_history: int = 64
@@ -210,7 +209,6 @@ class ServiceConfig:
         """The store lifecycle policy this config implies."""
         return LifecyclePolicy(
             size_budget_bytes=self.size_budget_bytes,
-            index_max_bytes=self.index_max_bytes,
             quarantine_max_files=self.quarantine_max_files,
             quarantine_max_age_s=self.quarantine_max_age_s,
         )
@@ -309,17 +307,13 @@ class CampaignService:
         self.retry = RetryPolicy(max_retries=max(0, config.max_retries))
         self.stats = ServiceStats()
         self.lanes = max(1, int(config.lanes))
-        # Satellite: per-tenant accounting survives restarts — the
-        # ledger replays <store>/tenants.jsonl on construction.
+        # Crash safety: replay <store>/tenants.jsonl and
+        # <store>/jobs.jsonl now (either raises JobJournalError ->
+        # serve exit code 3 if unreadable); open jobs found here are
+        # re-enqueued in start().
         self.ledger = TenantLedger(self.store.root)
-        # Crash safety: replay <store>/jobs.jsonl now (raises
-        # JobJournalError -> serve exit code 3 if unreadable); open
-        # jobs found here are re-enqueued in start().
         self.journal = JobJournal(
-            self.store.root,
-            max_bytes=config.journal_max_bytes,
-            enabled=config.job_journal,
-            chaos=chaos,
+            self.store.root, enabled=config.job_journal, chaos=chaos
         )
         self.scheduler = FairShareScheduler()
         self.address: Optional[Tuple[str, int]] = None
@@ -1197,9 +1191,9 @@ def run_service(
 ) -> int:
     """Run the daemon until SIGTERM/SIGINT/shutdown; returns exit code.
 
-    An unreadable jobs journal (:class:`~repro.service.journal.
-    JobJournalError`) propagates — ``python -m repro serve`` maps it to
-    exit code 3.
+    An unreadable jobs or tenants journal (:class:`~repro.service.
+    journal.JobJournalError`) propagates — ``python -m repro serve``
+    maps it to exit code 3.
     """
     try:
         return asyncio.run(_amain(config, chaos))

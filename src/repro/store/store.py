@@ -69,6 +69,7 @@ from typing import (
 
 from .. import telemetry
 from ..faultsim.coverage import CoverageReport
+from ..journal import Journal
 from ..telemetry import RunManifest
 from .codecs import (
     KIND_COVERAGE_REPORT,
@@ -168,6 +169,9 @@ class ResultStore:
         self.objects_dir.mkdir(parents=True, exist_ok=True)
         self.stats = StoreStats()
         self.lifecycle = lifecycle if lifecycle is not None else LifecyclePolicy()
+        self.index_journal = Journal(
+            self.index_path, "store.index", self.lifecycle.index_max_bytes
+        )
         self._pins: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
@@ -523,31 +527,12 @@ class ResultStore:
         return removed
 
     def _index(self, entry: Dict[str, Any]) -> None:
-        """Append one line to the advisory put/evict journal.
+        """Append one line to the advisory put/evict/quarantine journal.
 
         The index is a convenience for humans and tooling; the objects
-        directory is the source of truth, so index write failures are
-        swallowed.  Past ``LifecyclePolicy.index_max_bytes`` the file
-        rotates to ``index.jsonl.1`` (replacing any previous rotation),
-        so a daemon's journal disk use stays bounded at ~2x the
-        threshold instead of leaking forever.
+        directory is the source of truth, so the journal has no
+        snapshot (rotation is a plain rename to ``index.jsonl.1``) and
+        write failures are counted, never raised.
         """
-        try:
-            try:
-                if (
-                    self.index_path.stat().st_size
-                    >= self.lifecycle.index_max_bytes
-                ):
-                    os.replace(
-                        self.index_path,
-                        self.index_path.parent / (self.index_path.name + ".1"),
-                    )
-                    self.stats.index_rotations += 1
-                    telemetry.incr("store.index_rotated")
-            except FileNotFoundError:
-                pass
-            with open(self.index_path, "a", encoding="utf-8") as stream:
-                stream.write(json.dumps(entry, sort_keys=True))
-                stream.write("\n")
-        except OSError:
-            pass
+        self.index_journal.append(entry)
+        self.stats.index_rotations = self.index_journal.rotations
